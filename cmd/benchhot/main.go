@@ -23,10 +23,12 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -252,7 +254,9 @@ func bestPriors(baseline []Entry, key func(Entry) string) map[string]bestPrior {
 // fails). A benchmark with no prior entry at the same gomaxprocs skips
 // the gate: ops/sec across different widths are not comparable, and a
 // cross-width ratchet would permanently fail any runner whose core
-// count differs from the recording machine's.
+// count differs from the recording machine's. When every benchmark
+// skips, nothing was gated, and check fails with errNoBaseline rather
+// than pass vacuously (typically a run without GOMAXPROCS=1).
 //
 // The ratchet's escape hatches are the two tolerance flags: widen
 // -max-regress (ops/sec) or -max-alloc-growth (allocs/op) in CI for a
@@ -265,13 +269,19 @@ func check(fresh, baseline []Entry, maxRegress, maxAllocGrowth float64) error {
 		return fmt.Errorf("baseline has no entries")
 	}
 	var failed bool
+	var skipped []string // widths with no baseline
+	gated := 0
 	for _, e := range fresh {
 		b, ok := best[fmt.Sprintf("%s|%d", e.Name, e.GOMAXPROCS)]
 		width := fmt.Sprintf("gomaxprocs=%d", e.GOMAXPROCS)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "benchhot: %s: no prior entry at %s, skipping gate\n", e.Name, width)
+			if !slices.Contains(skipped, width) {
+				skipped = append(skipped, width)
+			}
 			continue
 		}
+		gated++
 		floor := b.ops * (1 - maxRegress)
 		ratio := e.OpsPerSec / b.ops
 		status := "ok"
@@ -292,8 +302,16 @@ func check(fresh, baseline []Entry, maxRegress, maxAllocGrowth float64) error {
 		return fmt.Errorf("regression beyond gate (ops/sec -%.0f%% or allocs/op +%.0f%% vs best prior)",
 			maxRegress*100, maxAllocGrowth*100)
 	}
+	if gated == 0 {
+		return fmt.Errorf("%w: measured at %s; set GOMAXPROCS to a width the baseline was recorded at",
+			errNoBaseline, strings.Join(skipped, ", "))
+	}
 	return nil
 }
+
+// errNoBaseline is check's failure when no fresh entry has a baseline
+// at its own width, so that nothing was gated.
+var errNoBaseline = errors.New("no benchmark has a baseline entry at its width")
 
 // The scaling gates: each pair compares a parallel benchmark against
 // its serial twin from the SAME measurement run (fresh vs fresh, so
@@ -426,13 +444,14 @@ func main() {
 			return checkScaling(fresh, len(terms) > 0)
 		}
 		err = gate()
-		if err != nil {
+		if err != nil && !errors.Is(err, errNoBaseline) {
 			// Best-of-two: a single testing.Benchmark sample on a noisy
 			// shared runner can dip below the floor without any code
 			// change. Re-measure once and keep, per benchmark, the
 			// faster sample whole — except allocs/op, which is gated on
 			// the WORSE of the two samples: the retry forgives only
-			// throughput noise, never an allocation regression.
+			// throughput noise, never an allocation regression. A
+			// missing baseline is not noise, so it is not retried.
 			fmt.Fprintf(os.Stderr, "benchhot: first sample failed (%v); re-measuring once\n", err)
 			second := measure(*label, terms)
 			for i := range fresh {

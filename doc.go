@@ -26,8 +26,10 @@
 // The machine itself is checkpointable — the paper's idea applied to
 // the simulator. machine.Snapshot captures a quiescent machine's
 // complete mutable state (the event queue is saved as data: pending
-// step/drain events carry sim.Tags and are re-bound to their closures
-// on restore) and machine.Restore rewinds a live machine to it in
+// step/drain events carry sim.Tags, are written in their firing order
+// whichever of sim.Engine's two tiers — a per-cycle timing wheel for
+// near events, a heap for far and keyed ones — holds them, and are
+// re-bound to their closures on restore) and machine.Restore rewinds a live machine to it in
 // place, without reallocating; machine.Reset recycles a machine's
 // every allocation for a fresh run under a new scheme. On top of
 // these, the harness Runner pools whole machines by harness.ReuseKey

@@ -1,6 +1,9 @@
 package machine
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestParallelDoSingleTask pins the degenerate dispatch paths: one task
 // (any GOMAXPROCS) and any task count at GOMAXPROCS=1 run inline on the
@@ -20,9 +23,28 @@ func TestParallelDoSingleTask(t *testing.T) {
 	if ran == 0 {
 		t.Fatal("tasks never ran")
 	}
+	// The in-order probe needs the single-worker fallback, so pin the
+	// width: at GOMAXPROCS >= 2 the tasks run on worker goroutines.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var got []int
 	parallelDo(3, func(i int) { got = append(got, i) })
 	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
 		t.Fatalf("sequential fallback ran tasks %v, want [0 1 2]", got)
+	}
+}
+
+// TestParallelDoRunsEveryTask checks the worker path: at a width of at
+// least 2, every task runs exactly once. Each task writes only its own
+// index, so the check itself is race-free.
+func TestParallelDoRunsEveryTask(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	for _, n := range []int{2, 3, 17} {
+		runs := make([]int, n)
+		parallelDo(n, func(i int) { runs[i]++ })
+		for i, r := range runs {
+			if r != 1 {
+				t.Fatalf("parallelDo(%d): task %d ran %d times, want 1", n, i, r)
+			}
+		}
 	}
 }

@@ -156,6 +156,52 @@ func TestEndToEndRunFetchRepeat(t *testing.T) {
 	}
 }
 
+// TestCachedRunServesStoredBytes pins the hit path of POST /v1/runs:
+// the envelope carries the stored record bytes, so its record, compacted,
+// is byte-equal to the GET body and to the first answer's record.
+func TestCachedRunServesStoredBytes(t *testing.T) {
+	srv := newServer(t, t.TempDir(), nil)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	c := ts.Client()
+
+	type envelope struct {
+		Key    string          `json:"key"`
+		Cached bool            `json:"cached"`
+		Record json.RawMessage `json:"record"`
+	}
+	req := RunRequest{App: "Radix", Procs: 4, Scheme: "Global"}
+	var first, second envelope
+	if code, body := do(t, c, "POST", ts.URL+"/v1/runs", req, &first); code != 200 || first.Cached {
+		t.Fatalf("first run: %d %s", code, body)
+	}
+	code, hit := do(t, c, "POST", ts.URL+"/v1/runs", req, &second)
+	if code != 200 || !second.Cached || second.Key != first.Key {
+		t.Fatalf("second run: %d %s", code, hit)
+	}
+	var typed RunResponse
+	if err := json.Unmarshal([]byte(hit), &typed); err != nil || typed.Record == nil || typed.Record.Cycles == 0 {
+		t.Fatalf("hit envelope does not decode as a RunResponse: %v %+v", err, typed)
+	}
+	code, got := do(t, c, "GET", ts.URL+"/v1/runs/"+first.Key, nil, nil)
+	if code != 200 {
+		t.Fatalf("fetch: %d %s", code, got)
+	}
+	compact := func(raw []byte) string {
+		var buf bytes.Buffer
+		if err := json.Compact(&buf, raw); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	if compact(second.Record) != got {
+		t.Fatal("cached record differs from the GET body")
+	}
+	if compact(first.Record) != got {
+		t.Fatal("cached record differs from the first answer's record")
+	}
+}
+
 func TestInvalidSpecIs400(t *testing.T) {
 	srv := newServer(t, t.TempDir(), nil)
 	ts := httptest.NewServer(srv)

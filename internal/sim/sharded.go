@@ -169,10 +169,7 @@ func (se *ShardedEngine) earliest() (Cycle, bool) {
 	var best Cycle
 	any := false
 	for _, sh := range se.shards {
-		if len(sh.heap) == 0 {
-			continue
-		}
-		if at := sh.heap[0].at; !any || at < best {
+		if _, at, ok := sh.next(); ok && (!any || at < best) {
 			best, any = at, true
 		}
 	}
@@ -231,7 +228,7 @@ func (se *ShardedEngine) runEpochParallel(end Cycle) {
 	// when only one shard has work this epoch.
 	active := 0
 	for _, sh := range se.shards {
-		if len(sh.heap) > 0 && sh.heap[0].at <= end {
+		if _, at, ok := sh.next(); ok && at <= end {
 			active++
 		}
 	}
